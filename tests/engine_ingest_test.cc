@@ -22,6 +22,7 @@
 #include "engine/ingest.hh"
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
+#include "scratch_dir.hh"
 
 namespace lag::engine
 {
@@ -29,20 +30,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** Scoped scratch directory: clean before and after the test. */
-struct ScratchDir
-{
-    std::string path;
-
-    explicit ScratchDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-
-    ~ScratchDir() { fs::remove_all(path); }
-};
 
 std::string
 slurp(const std::string &path)
@@ -72,7 +59,7 @@ struct Published
  * session per example app, traces materialized once. */
 struct StudyFixture
 {
-    ScratchDir cache{"lagalyzer-cache-test-ingest"};
+    test::ScratchDir cache{"ingest"};
     app::StudyConfig config = app::StudyConfig::quickStudy(3);
     std::vector<std::vector<std::string>> tracePaths;
     std::vector<std::string> batchBytes; ///< reference per app
@@ -114,7 +101,7 @@ runDifferential(std::size_t chunk, std::uint32_t jobs,
     ASSERT_GE(fix.config.apps.size(), 14u)
         << "catalog shrank; the suite must cover every app model";
 
-    const ScratchDir live("lagalyzer-ingest-live-" +
+    const test::ScratchDir live("ingest-live-" +
                           std::to_string(chunk) + "-" +
                           std::to_string(jobs));
     ThreadPool pool(jobs);
@@ -244,7 +231,7 @@ TEST(IngestDifferential, WholeFileChunks)
 TEST(IngestDifferential, KillAndResumeConvergesToSameBytes)
 {
     StudyFixture &fix = fixture();
-    const ScratchDir live("lagalyzer-ingest-resume");
+    const test::ScratchDir live("ingest-resume");
     const std::string bytes = slurp(fix.tracePaths[0][0]);
     const std::string dest = live.path + "/resume.lag";
 
@@ -299,7 +286,7 @@ TEST(IngestDifferential, KillAndResumeConvergesToSameBytes)
 TEST(IngestDifferential, CorruptSourceIsQuarantined)
 {
     StudyFixture &fix = fixture();
-    const ScratchDir live("lagalyzer-ingest-corrupt");
+    const test::ScratchDir live("ingest-corrupt");
     std::string bytes = slurp(fix.tracePaths[0][0]);
     bytes[0] = 'X'; // bad magic: structurally corrupt
     const std::string badDest = live.path + "/bad.lag";
@@ -356,7 +343,7 @@ TEST(IngestDifferential, CorruptSourceIsQuarantined)
 TEST(IngestDifferential, DirectoryScanPicksUpNewFiles)
 {
     StudyFixture &fix = fixture();
-    const ScratchDir live("lagalyzer-ingest-scan");
+    const test::ScratchDir live("ingest-scan");
     ThreadPool pool(2);
     IngestOptions options;
     options.perceptibleThreshold = fix.config.perceptibleThreshold;

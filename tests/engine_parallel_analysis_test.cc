@@ -20,6 +20,7 @@
 #include "engine/parallel_analysis.hh"
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
+#include "scratch_dir.hh"
 #include "trace/io.hh"
 
 namespace lag::engine
@@ -28,19 +29,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** Scoped cache directory: clean before and after the test. */
-struct CacheDir
-{
-    std::string path;
-
-    explicit CacheDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-    }
-
-    ~CacheDir() { fs::remove_all(path); }
-};
 
 /** One short quick-study session to analyze. */
 core::Session
@@ -101,7 +89,7 @@ TEST(EpisodeShards, ShardCountScalesWithWorkersAndWork)
 
 TEST(ParallelAnalysis, ByteIdenticalAcrossWorkerCounts)
 {
-    const CacheDir dir("lagalyzer-cache-test-par-analysis");
+    const test::ScratchDir dir("par-analysis");
     const core::Session session = testSession(dir.path);
     const DurationNs threshold = msToNs(100);
 
@@ -119,7 +107,7 @@ TEST(ParallelAnalysis, ByteIdenticalAcrossWorkerCounts)
 
 TEST(ParallelAnalysis, MinedPatternsMatchSerialMiner)
 {
-    const CacheDir dir("lagalyzer-cache-test-par-mine");
+    const test::ScratchDir dir("par-mine");
     const core::Session session = testSession(dir.path);
     const DurationNs threshold = msToNs(100);
 
@@ -155,7 +143,7 @@ TEST(ParallelAnalysis, MinedPatternsMatchSerialMiner)
 
 TEST(ParallelAnalysis, MappedAndStreamDecodesAnalyzeIdentically)
 {
-    const CacheDir dir("lagalyzer-cache-test-par-mmap");
+    const test::ScratchDir dir("par-mmap");
     app::StudyConfig config = app::StudyConfig::quickStudy(5);
     config.apps.resize(1);
     config.cacheDir = dir.path;
@@ -178,7 +166,7 @@ TEST(ParallelAnalysis, MappedAndStreamDecodesAnalyzeIdentically)
 
 TEST(ParallelAnalysis, ArenaAndHeapSessionsAnalyzeIdentically)
 {
-    const CacheDir dir("lagalyzer-cache-test-par-arena");
+    const test::ScratchDir dir("par-arena");
     app::StudyConfig config = app::StudyConfig::quickStudy(5);
     config.apps.resize(1);
     config.cacheDir = dir.path;

@@ -19,6 +19,7 @@
 
 #include "app/study.hh"
 #include "engine/result_cache.hh"
+#include "scratch_dir.hh"
 #include "trace/io.hh"
 
 namespace lag::engine
@@ -48,19 +49,6 @@ testStudy(const std::string &cache_dir, std::uint32_t jobs)
     config.jobs = jobs;
     return config;
 }
-
-/** Scoped cache directory: clean before and after the test. */
-struct CacheDir
-{
-    std::string path;
-
-    explicit CacheDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-    }
-
-    ~CacheDir() { fs::remove_all(path); }
-};
 
 /** A hand-built analysis with every field populated. */
 SessionAnalysis
@@ -99,8 +87,8 @@ sampleAnalysis()
 
 TEST(EngineStudy, ParallelOutputMatchesSerialByteForByte)
 {
-    const CacheDir serialDir("lagalyzer-cache-test-serial");
-    const CacheDir parallelDir("lagalyzer-cache-test-parallel");
+    const test::ScratchDir serialDir("serial");
+    const test::ScratchDir parallelDir("parallel");
 
     app::Study serial(testStudy(serialDir.path, 1));
     app::Study parallel(testStudy(parallelDir.path, 8));
@@ -157,7 +145,7 @@ TEST(EngineStudy, SessionAnalysisSerializationRoundTrips)
 
 TEST(EngineStudy, ResultCacheRoundTrips)
 {
-    const CacheDir dir("lagalyzer-cache-test-rescache");
+    const test::ScratchDir dir("rescache");
     const ResultCache cache(dir.path, "fp-1");
 
     EXPECT_FALSE(cache.load("App", 0).has_value()) << "cold miss";
@@ -177,7 +165,7 @@ TEST(EngineStudy, ResultCacheRoundTrips)
 
 TEST(EngineStudy, DamagedCacheEntryReadsAsMiss)
 {
-    const CacheDir dir("lagalyzer-cache-test-damage");
+    const test::ScratchDir dir("damage");
     const ResultCache cache(dir.path, "fp");
     cache.store("App", 3, sampleAnalysis());
     const std::string path = cache.entryPath("App", 3);
@@ -214,7 +202,7 @@ TEST(EngineStudy, DamagedCacheEntryReadsAsMiss)
 
 TEST(EngineStudy, EvictDropsStaleFingerprintEntries)
 {
-    const CacheDir dir("lagalyzer-cache-test-evict-stale");
+    const test::ScratchDir dir("evict-stale");
     const ResultCache oldGen(dir.path, "fp-old");
     oldGen.store("App", 0, sampleAnalysis());
     oldGen.store("App", 1, sampleAnalysis());
@@ -242,7 +230,7 @@ TEST(EngineStudy, EvictDropsStaleFingerprintEntries)
 
 TEST(EngineStudy, EvictEnforcesByteAndAgeBudgets)
 {
-    const CacheDir dir("lagalyzer-cache-test-evict-budget");
+    const test::ScratchDir dir("evict-budget");
     const ResultCache cache(dir.path, "fp");
     for (std::uint32_t s = 0; s < 3; ++s)
         cache.store("App", s, sampleAnalysis());
@@ -281,7 +269,7 @@ TEST(EngineStudy, EvictEnforcesByteAndAgeBudgets)
 
 TEST(EngineStudy, TruncatedTraceIsResimulated)
 {
-    const CacheDir dir("lagalyzer-cache-test-truncated");
+    const test::ScratchDir dir("truncated");
     app::StudyConfig config = testStudy(dir.path, 2);
     config.apps.resize(1);
     app::Study study(config);
@@ -309,7 +297,7 @@ TEST(EngineStudy, TruncatedTraceIsResimulated)
 
 TEST(EngineStudy, ManifestRewriteLeavesNoTempFile)
 {
-    const CacheDir dir("lagalyzer-cache-test-manifest");
+    const test::ScratchDir dir("manifest");
     app::StudyConfig config = testStudy(dir.path, 2);
     config.apps.resize(1);
 

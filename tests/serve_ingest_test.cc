@@ -22,6 +22,7 @@
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
 #include "obs/json_check.hh"
+#include "scratch_dir.hh"
 #include "serve/router.hh"
 #include "serve/store.hh"
 
@@ -31,20 +32,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** Scoped scratch directory: clean before and after the test. */
-struct ScratchDir
-{
-    std::string path;
-
-    explicit ScratchDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-
-    ~ScratchDir() { fs::remove_all(path); }
-};
 
 std::string
 slurp(const std::string &path)
@@ -76,8 +63,8 @@ getRequest(std::string path,
 
 TEST(ServeIngest, FollowModeConvergesToBatchPatterns)
 {
-    const ScratchDir cache("lagalyzer-cache-test-serve-ingest");
-    const ScratchDir live("lagalyzer-serve-ingest-live");
+    const test::ScratchDir cache("serve-ingest");
+    const test::ScratchDir live("serve-ingest-live");
 
     app::StudyConfig config = app::StudyConfig::quickStudy(3);
     config.apps.resize(2);

@@ -33,6 +33,7 @@
 #include "obs/prom_check.hh"
 #include "obs/span.hh"
 #include "obs/trace_context.hh"
+#include "scratch_dir.hh"
 #include "serve/client.hh"
 #include "serve/http.hh"
 #include "serve/router.hh"
@@ -45,19 +46,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** Scoped cache directory: clean before and after the test. */
-struct CacheDir
-{
-    std::string path;
-
-    explicit CacheDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-    }
-
-    ~CacheDir() { fs::remove_all(path); }
-};
 
 /** A tiny quick study (first 2 apps, 2 sessions each) with a
  * private cache dir. */
@@ -140,7 +128,7 @@ TEST(ServeObs, ColdLoadStampsEngineSpansWithTheRequestTrace)
 {
     armRecorder();
     const SpansOn on;
-    const CacheDir cache_dir("lagalyzer-cache-serve-obs-trace");
+    const test::ScratchDir cache_dir("serve-obs-trace");
     ObsServer live(tinyStudy(cache_dir.path));
     const obs::TraceContext ctx = live.loadTrace;
 
@@ -182,7 +170,7 @@ TEST(ServeObs, ColdLoadStampsEngineSpansWithTheRequestTrace)
 TEST(ServeObs, MetricsEndpointServesPromOnRequest)
 {
     armRecorder();
-    const CacheDir cache_dir("lagalyzer-cache-serve-obs-prom");
+    const test::ScratchDir cache_dir("serve-obs-prom");
     ObsServer live(tinyStudy(cache_dir.path));
 
     // Default stays the bespoke JSON dump.
@@ -225,7 +213,7 @@ TEST(ServeObs, MetricsAcceptHeaderNegotiatesProm)
 {
     // Content negotiation is pure dispatch logic — no live server
     // or loaded store needed.
-    const CacheDir cache_dir("lagalyzer-cache-serve-obs-accept");
+    const test::ScratchDir cache_dir("serve-obs-accept");
     engine::ThreadPool pool(2);
     HotStore store(tinyStudy(cache_dir.path), pool);
     Router router;
@@ -261,7 +249,7 @@ TEST(ServeObs, TraceHeaderCorrelatesWithDebugRequests)
 {
     armRecorder();
     const SpansOn on;
-    const CacheDir cache_dir("lagalyzer-cache-serve-obs-debug");
+    const test::ScratchDir cache_dir("serve-obs-debug");
     ObsServer live(tinyStudy(cache_dir.path));
 
     // Every response names its request's trace id.

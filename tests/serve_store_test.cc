@@ -26,6 +26,7 @@
 #include "engine/result_cache.hh"
 #include "obs/json_check.hh"
 #include "obs/metrics.hh"
+#include "scratch_dir.hh"
 #include "serve/client.hh"
 #include "serve/router.hh"
 #include "serve/server.hh"
@@ -37,19 +38,6 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** Scoped cache directory: clean before and after the test. */
-struct CacheDir
-{
-    std::string path;
-
-    explicit CacheDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-    }
-
-    ~CacheDir() { fs::remove_all(path); }
-};
 
 /** A tiny quick study (first 2 apps, 2 sessions each) with a
  * private cache dir — small enough that the full load and the cold
@@ -176,7 +164,7 @@ struct LiveServer
 
 TEST(ServeStore, ResponsesByteIdenticalToBatchReference)
 {
-    const CacheDir cache_dir("lagalyzer-cache-serve-equiv-test");
+    const test::ScratchDir cache_dir("serve-equiv-test");
     const app::StudyConfig config = tinyStudy(cache_dir.path);
 
     LiveServer live(config);
@@ -295,7 +283,7 @@ TEST(ServeStore, ResponsesByteIdenticalToBatchReference)
 
 TEST(ServeStore, RefreshRecomputesExactlyTheDirtiedApp)
 {
-    const CacheDir cache_dir("lagalyzer-cache-serve-refresh-test");
+    const test::ScratchDir cache_dir("serve-refresh-test");
     const app::StudyConfig config = tinyStudy(cache_dir.path);
 
     LiveServer live(config);
