@@ -14,6 +14,7 @@
 
 #include "app/catalog.hh"
 #include "app/session_runner.hh"
+#include "core/flat_tree.hh"
 #include "core/session.hh"
 #include "util/logging.hh"
 #include "study_util.hh"
@@ -47,13 +48,17 @@ main()
     if (chosen == nullptr)
         fatal("no perceptible GanttProject episode found");
 
-    const auto &root = session.episodeRoot(*chosen);
+    const core::FlatSession flat = core::flattenSession(session);
+    const auto index =
+        static_cast<std::size_t>(chosen - session.episodes().data());
+    const std::size_t descendants = core::flatDescendantCount(
+        flat.trees()[flat.episodeTree(index)], flat.episodeNode(index));
     std::cout << "Figure 2: GanttProject episode sketch (paper: "
                  "average Descs 18, Depth 12 across patterns)\n\n"
               << "Chosen episode: duration "
               << formatDurationNs(chosen->duration())
               << ", interval-tree depth " << best_depth
-              << ", descendants " << root.descendantCount() << "\n";
+              << ", descendants " << descendants << "\n";
 
     viz::SketchOptions options;
     options.title = "Figure 2: GanttProject deep paint nesting";

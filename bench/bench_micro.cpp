@@ -1,32 +1,31 @@
 /**
  * @file
- * Analysis hot-path microbenchmarks: flat layout vs node trees.
+ * Analysis hot-path microbenchmarks on the flat layout.
  *
- * Each run prints one JSON line per kernel comparing the node-tree
- * implementation against its flat-slice twin on the same cached
- * 60 s GanttProject session:
+ * Each run prints one JSON line per kernel, timed on the same 60 s
+ * GanttProject session:
  *
  *  - `flat_build`            cost of flattenSession itself
- *  - `sig_mpatterns_per_s`   signature hashing (patternSignature +
- *                            fnv1a vs one-pass flatSignatureHash),
- *                            millions of signatures per second
- *  - `walk_mnodes_per_s`     structural walks (descendantCount,
- *                            depth, GC typeTime), millions of
- *                            logical nodes walked per second
+ *  - `sig_mpatterns_per_s`   one-pass signature hashing
+ *                            (flatSignatureHash), millions of
+ *                            signatures per second
+ *  - `walk_mnodes_per_s`     structural walks (descendant count,
+ *                            depth, GC time), millions of logical
+ *                            nodes walked per second
  *  - `classify_mepisodes_per_s`  trigger classification
- *                            (episodeTrigger vs flatEpisodeTrigger,
- *                            SIMD under LAG_SIMD), millions of
+ *                            (flatEpisodeTrigger), millions of
  *                            episodes per second
  *  - `merge_mepisodes_per_s` the serial shard-merge tail of the
  *                            parallel miner (PatternMiner::merge
  *                            over 8 flat-mined shards)
  *
- * Before timing anything, every kernel's node and flat results are
- * compared on every episode; any mismatch prints to stderr and the
- * process exits nonzero, so `ctest -L perf` doubles as an
- * equivalence smoke. `--smoke` runs few iterations (CI); the full
- * run uses enough repetitions for stable rates. Record full-run
- * lines in EXPERIMENTS.md when the hot path changes.
+ * Before timing anything, the session's full analysis is checked
+ * against its golden digest (tests/golden/fixtures.txt); a mismatch
+ * prints to stderr and the process exits nonzero, so `ctest -L
+ * perf` doubles as a correctness smoke.  `--smoke` runs few
+ * iterations (CI); the full run uses enough repetitions for stable
+ * rates. Record full-run lines in EXPERIMENTS.md when the hot path
+ * changes.
  */
 
 #include <benchmark/benchmark.h>
@@ -41,13 +40,11 @@
 
 #include "app/catalog.hh"
 #include "app/session_runner.hh"
-#include "core/flat_simd.hh"
 #include "core/flat_tree.hh"
-#include "core/location.hh"
 #include "core/pattern.hh"
 #include "core/triggers.hh"
-#include "trace/io.hh"
-#include "util/hash.hh"
+#include "engine/result_cache.hh"
+#include "golden.hh"
 
 namespace
 {
@@ -97,57 +94,27 @@ timedMs(const Fn &fn)
     return elapsed.count();
 }
 
+/** Golden-file key of the fixture session. */
+constexpr const char *kGoldenKey = "session/GanttProject-60s";
+
 /**
- * Node-vs-flat equivalence over every episode: signature hash and
- * string, structural walks, native/GC times and trigger class must
- * agree exactly. Returns false (after printing the first mismatch)
- * when they do not.
+ * The fixture's full analysis must reproduce its golden digest.
+ * Returns false (after printing both digests) when it does not.
  */
 bool
-verifyEquivalence(const Fixture &f)
+verifyGolden(const Fixture &f)
 {
-    const auto &episodes = f.session.episodes();
-    const auto &strings = f.session.strings();
-    const auto &trees = f.flat.trees();
-    core::FlatSigStack scratch;
-    std::string flatSig;
-    for (std::size_t i = 0; i < f.episodes; ++i) {
-        const core::IntervalNode &root =
-            f.session.episodeRoot(episodes[i]);
-        const core::FlatTree &tree = trees[f.flat.episodeTree(i)];
-        const std::uint32_t node = f.flat.episodeNode(i);
-
-        const std::string nodeSig =
-            core::patternSignature(root, strings);
-        flatSig.clear();
-        core::flatSignatureString(tree, node, strings, flatSig,
-                                  scratch);
-        const std::uint64_t flatHash =
-            core::flatSignatureHash(tree, node, strings, scratch);
-        if (flatSig != nodeSig || flatHash != fnv1a(nodeSig)) {
-            std::fprintf(stderr,
-                         "episode %zu: signature mismatch "
-                         "(node \"%s\", flat \"%s\")\n",
-                         i, nodeSig.c_str(), flatSig.c_str());
-            return false;
-        }
-        if (core::flatDescendantCount(tree, node) !=
-                root.descendantCount() ||
-            core::flatDepth(tree, node) != root.depth() ||
-            core::flatTypeTime(tree, node, core::IntervalType::Gc) !=
-                root.typeTime(core::IntervalType::Gc) ||
-            core::flatNativeTimeExcludingGc(tree, node) !=
-                core::nativeTimeExcludingGc(root)) {
-            std::fprintf(stderr,
-                         "episode %zu: walk mismatch\n", i);
-            return false;
-        }
-        if (core::flatEpisodeTrigger(tree, node) !=
-            core::episodeTrigger(root)) {
-            std::fprintf(stderr,
-                         "episode %zu: trigger mismatch\n", i);
-            return false;
-        }
+    const auto golden = test::readGoldenFile(LAG_GOLDEN_FILE);
+    const auto it = golden.find(kGoldenKey);
+    const std::string actual = test::digestHex(test::analysisDigest(
+        engine::analyzeSession(f.session, msToNs(100))));
+    if (it == golden.end() || it->second != actual) {
+        std::fprintf(stderr,
+                     "%s: analysis digest %s, golden %s (%s)\n",
+                     kGoldenKey, actual.c_str(),
+                     it == golden.end() ? "missing" : it->second.c_str(),
+                     LAG_GOLDEN_FILE);
+        return false;
     }
     return true;
 }
@@ -171,60 +138,50 @@ reportFlatBuild(const Fixture &f, int reps)
     std::fflush(stdout);
 }
 
+/** Print `{"bench":<name>,<count_key>:<count>,"reps":..,"flat":..}`
+ * where "flat" is @p units millions per second. */
+void
+printRate(const char *name, const char *count_key,
+          unsigned long long count, int reps, double units, double ms)
+{
+    std::printf("{\"bench\":\"%s\",\"%s\":%llu,\"reps\":%d,"
+                "\"flat\":%.3f}\n",
+                name, count_key, count, reps,
+                ms > 0.0 ? units / 1e6 / (ms / 1e3) : 0.0);
+    std::fflush(stdout);
+}
+
 void
 reportSignatureHashing(const Fixture &f, int reps)
 {
-    const auto &episodes = f.session.episodes();
     const auto &strings = f.session.strings();
     const auto &trees = f.flat.trees();
 
-    std::uint64_t nodeSum = 0;
-    const double node_ms = timedMs([&] {
-        for (int r = 0; r < reps; ++r) {
-            for (std::size_t i = 0; i < f.episodes; ++i) {
-                const std::string sig = core::patternSignature(
-                    f.session.episodeRoot(episodes[i]), strings);
-                nodeSum += fnv1a(sig);
-            }
-        }
-    }) / reps;
-    benchmark::DoNotOptimize(nodeSum);
-
-    std::uint64_t flatSum = 0;
+    std::uint64_t sum = 0;
     core::FlatSigStack scratch;
-    const double flat_ms = timedMs([&] {
+    const double ms = timedMs([&] {
         for (int r = 0; r < reps; ++r) {
             for (std::size_t i = 0; i < f.episodes; ++i) {
-                flatSum += core::flatSignatureHash(
+                sum += core::flatSignatureHash(
                     trees[f.flat.episodeTree(i)],
                     f.flat.episodeNode(i), strings, scratch);
             }
         }
     }) / reps;
-    benchmark::DoNotOptimize(flatSum);
-
-    const double m = static_cast<double>(f.episodes) / 1e6;
-    std::printf(
-        "{\"bench\":\"sig_mpatterns_per_s\",\"episodes\":%llu,"
-        "\"reps\":%d,\"node\":%.3f,\"flat\":%.3f,"
-        "\"speedup\":%.2f}\n",
-        static_cast<unsigned long long>(f.episodes), reps,
-        node_ms > 0.0 ? m / (node_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? m / (flat_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? node_ms / flat_ms : 0.0);
-    std::fflush(stdout);
+    benchmark::DoNotOptimize(sum);
+    printRate("sig_mpatterns_per_s", "episodes", f.episodes, reps,
+              static_cast<double>(f.episodes), ms);
 }
 
 void
 reportStructuralWalks(const Fixture &f, int reps)
 {
-    const auto &episodes = f.session.episodes();
     const auto &trees = f.flat.trees();
 
     // Logical work per pass: every episode node visited once per
-    // walk kind (count, depth, GC time). The flat side answers two
+    // walk kind (count, depth, GC time). The flat layout answers two
     // of the three in O(1); the rate measures work accomplished,
-    // not instructions retired — that asymmetry is the point.
+    // not instructions retired.
     std::uint64_t episodeNodes = 0;
     for (std::size_t i = 0; i < f.episodes; ++i) {
         episodeNodes += core::flatDescendantCount(
@@ -233,97 +190,44 @@ reportStructuralWalks(const Fixture &f, int reps)
                         1;
     }
 
-    std::uint64_t nodeSum = 0;
-    const double node_ms = timedMs([&] {
-        for (int r = 0; r < reps; ++r) {
-            for (std::size_t i = 0; i < f.episodes; ++i) {
-                const core::IntervalNode &root =
-                    f.session.episodeRoot(episodes[i]);
-                nodeSum += root.descendantCount() + root.depth() +
-                           static_cast<std::uint64_t>(
-                               root.typeTime(core::IntervalType::Gc));
-            }
-        }
-    }) / reps;
-    benchmark::DoNotOptimize(nodeSum);
-
-    std::uint64_t flatSum = 0;
-    const double flat_ms = timedMs([&] {
+    std::uint64_t sum = 0;
+    const double ms = timedMs([&] {
         for (int r = 0; r < reps; ++r) {
             for (std::size_t i = 0; i < f.episodes; ++i) {
                 const core::FlatTree &tree =
                     trees[f.flat.episodeTree(i)];
                 const std::uint32_t node = f.flat.episodeNode(i);
-                flatSum += core::flatDescendantCount(tree, node) +
-                           core::flatDepth(tree, node) +
-                           static_cast<std::uint64_t>(
-                               core::flatTypeTime(
-                                   tree, node,
-                                   core::IntervalType::Gc));
+                sum += core::flatDescendantCount(tree, node) +
+                       core::flatDepth(tree, node) +
+                       static_cast<std::uint64_t>(core::flatTypeTime(
+                           tree, node, core::IntervalType::Gc));
             }
         }
     }) / reps;
-    benchmark::DoNotOptimize(flatSum);
-
-    const double m = 3.0 * static_cast<double>(episodeNodes) / 1e6;
-    std::printf(
-        "{\"bench\":\"walk_mnodes_per_s\",\"logical_mnodes\":%.3f,"
-        "\"reps\":%d,\"node\":%.1f,\"flat\":%.1f,"
-        "\"speedup\":%.2f}\n",
-        m, reps, node_ms > 0.0 ? m / (node_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? m / (flat_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? node_ms / flat_ms : 0.0);
-    std::fflush(stdout);
+    benchmark::DoNotOptimize(sum);
+    printRate("walk_mnodes_per_s", "logical_nodes", 3 * episodeNodes,
+              reps, 3.0 * static_cast<double>(episodeNodes), ms);
 }
 
 void
 reportClassification(const Fixture &f, int reps)
 {
-    const auto &episodes = f.session.episodes();
     const auto &trees = f.flat.trees();
 
-    std::uint64_t nodeSum = 0;
-    const double node_ms = timedMs([&] {
+    std::uint64_t sum = 0;
+    const double ms = timedMs([&] {
         for (int r = 0; r < reps; ++r) {
             for (std::size_t i = 0; i < f.episodes; ++i) {
-                nodeSum += static_cast<std::uint64_t>(
-                    core::episodeTrigger(
-                        f.session.episodeRoot(episodes[i])));
-            }
-        }
-    }) / reps;
-    benchmark::DoNotOptimize(nodeSum);
-
-    std::uint64_t flatSum = 0;
-    const double flat_ms = timedMs([&] {
-        for (int r = 0; r < reps; ++r) {
-            for (std::size_t i = 0; i < f.episodes; ++i) {
-                flatSum += static_cast<std::uint64_t>(
+                sum += static_cast<std::uint64_t>(
                     core::flatEpisodeTrigger(
                         trees[f.flat.episodeTree(i)],
                         f.flat.episodeNode(i)));
             }
         }
     }) / reps;
-    benchmark::DoNotOptimize(flatSum);
-
-#if defined(LAG_SIMD) && \
-    (defined(LAG_HAS_SSE2) || defined(LAG_HAS_NEON))
-    const bool simd = true;
-#else
-    const bool simd = false;
-#endif
-    const double m = static_cast<double>(f.episodes) / 1e6;
-    std::printf(
-        "{\"bench\":\"classify_mepisodes_per_s\",\"episodes\":%llu,"
-        "\"reps\":%d,\"simd\":%s,\"node\":%.3f,\"flat\":%.3f,"
-        "\"speedup\":%.2f}\n",
-        static_cast<unsigned long long>(f.episodes), reps,
-        simd ? "true" : "false",
-        node_ms > 0.0 ? m / (node_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? m / (flat_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? node_ms / flat_ms : 0.0);
-    std::fflush(stdout);
+    benchmark::DoNotOptimize(sum);
+    printRate("classify_mepisodes_per_s", "episodes", f.episodes, reps,
+              static_cast<double>(f.episodes), ms);
 }
 
 void
@@ -376,7 +280,7 @@ main(int argc, char **argv)
     }
 
     const Fixture &f = Fixture::get();
-    if (!verifyEquivalence(f))
+    if (!verifyGolden(f))
         return 1;
 
     const int reps = smoke ? 3 : 100;

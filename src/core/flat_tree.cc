@@ -12,10 +12,10 @@ namespace
 {
 
 /** @name Signature byte sinks.
- * One emission routine, two sinks: the hasher folds the exact byte
- * stream appendSignature would produce (so the hash equals
- * fnv1a(signature) with no intermediate string), and the string
- * sink materializes that stream for first-seen patterns.
+ * One emission routine, two sinks: the hasher folds the signature's
+ * byte stream (so the hash equals fnv1a(signature) with no
+ * intermediate string), and the string sink materializes that
+ * stream for first-seen patterns.
  * @{ */
 
 struct HashSink
@@ -71,9 +71,8 @@ emitNodePayload(const FlatTree &tree, std::uint32_t i,
 }
 
 /**
- * Emit the full signature of the subtree at @p root into @p sink —
- * the exact byte stream of pattern.cc's appendSignature, walked
- * with an explicit frame stack instead of recursion.
+ * Emit the full signature of the subtree at @p root into @p sink,
+ * walked with an explicit frame stack instead of recursion.
  */
 template <typename Sink>
 void

@@ -16,8 +16,8 @@
  * Preorder plus `subtreeEnd` turns any subtree into the contiguous
  * index slice [i, subtreeEnd[i]): descendant counts become index
  * arithmetic, preorder searches become linear scans over a byte
- * array (SIMD-friendly; see flat_simd.hh), and type-time walks
- * become branchy-but-local loops instead of recursion.  GC nodes
+ * array, and type-time walks become branchy-but-local loops instead
+ * of recursion.  GC nodes
  * are leaves in every Session::fromTrace tree, so per-node GC
  * count/time prefix sums additionally make "GC time under this
  * subtree" an O(1) subtraction; trees where a GC node has children
@@ -30,10 +30,10 @@
  * stack, never the C stack — so hostile nesting depth cannot
  * overflow anything here.
  *
- * Every flat operation is the exact semantic twin of a node-tree
- * walk; the node implementations remain as the differentially
- * tested reference (tests/core_flat_tree_test.cc and the engine
- * equivalence suite assert byte-identical analysis output).
+ * Every per-episode analysis (pattern signatures, triggers, GC and
+ * native time) runs on this layout only.  tests/golden/ pins the
+ * results, as digests frozen from the node-tree walks the flat ones
+ * replaced.
  */
 
 #ifndef LAG_CORE_FLAT_TREE_HH
@@ -198,9 +198,9 @@ FlatSession flattenSession(const Session &session,
 FlatTree flattenForest(const IntervalVec &roots,
                        Arena *arena = nullptr);
 
-/** @name Flat walks — semantic twins of the IntervalNode methods.
- * All take a tree and a flat node index; @c descendantCount is pure
- * index arithmetic, the rest are linear scans over the slice.
+/** @name Flat walks.
+ * All take a tree and a flat node index; @c flatDescendantCount is
+ * pure index arithmetic, the rest are linear scans over the slice.
  * @{ */
 
 /** Number of descendants of @p i (excluding @p i). */
@@ -214,12 +214,14 @@ flatDescendantCount(const FlatTree &tree, std::uint32_t i)
 std::size_t flatDepth(const FlatTree &tree, std::uint32_t i);
 
 /** Total duration of descendants of @p i with @p wanted type,
- * never descending into a matching node (IntervalNode::typeTime).
- * GC queries are O(1) via the prefix sums when gcLeavesOnly. */
+ * never descending into a matching node (nested same-type intervals
+ * count once).  GC queries are O(1) via the prefix sums when
+ * gcLeavesOnly. */
 DurationNs flatTypeTime(const FlatTree &tree, std::uint32_t i,
                         IntervalType wanted);
 
-/** Non-GC descendants of @p i (pattern.cc's nonGcDescendants). */
+/** Descendants of @p i that are not GC nodes or inside one (Table
+ * III "Descs"). */
 std::size_t flatNonGcDescendants(const FlatTree &tree,
                                  std::uint32_t i);
 
@@ -229,11 +231,16 @@ std::size_t flatNonGcDepth(const FlatTree &tree, std::uint32_t i);
 /** @} */
 
 /** @name Flat signature emission.
- * The canonical structural signature (pattern.hh) emitted straight
- * from the flat slice: hash-only for the per-episode hot path (no
- * intermediate string), string materialization for first-seen
- * patterns, and an id-level structural comparison that decides
- * signature equality without touching either string.
+ * The canonical structural signature of a subtree (Pattern::
+ * signature, paper §II.D): each node emits its type letter (D, L,
+ * P, N, A), then "[class.method]" when either symbol is set, then
+ * its children's signatures wrapped in "(...)" when it has any.
+ * GC nodes and everything below them are skipped; timing is never
+ * part of it.  Emitted straight from the flat slice: hash-only for
+ * the per-episode hot path (no intermediate string), string
+ * materialization for first-seen patterns, and an id-level
+ * structural comparison that decides signature equality without
+ * touching either string.
  * @{ */
 
 /** One frame of the iterative signature walk (a child range plus
@@ -250,17 +257,15 @@ struct FlatSigFrame
 using FlatSigStack = std::vector<FlatSigFrame>;
 
 /**
- * FNV-1a 64 of patternSignature(node, strings) computed in one pass
- * over the slice, with no intermediate string.  @p i must not be a
- * GC node.
+ * FNV-1a 64 of the signature of @p i, computed in one pass over the
+ * slice with no intermediate string.  @p i must not be a GC node.
  */
 std::uint64_t flatSignatureHash(const FlatTree &tree,
                                 std::uint32_t i,
                                 const trace::StringTable &strings,
                                 FlatSigStack &scratch);
 
-/** Append the signature of @p i to @p out — byte-identical to
- * patternSignature(node, strings). */
+/** Append the signature of @p i to @p out. */
 void flatSignatureString(const FlatTree &tree, std::uint32_t i,
                          const trace::StringTable &strings,
                          std::string &out, FlatSigStack &scratch);

@@ -37,20 +37,16 @@ using IntervalAllocator = ArenaAllocator<IntervalNode>;
 using IntervalVec = std::vector<IntervalNode, IntervalAllocator>;
 
 /**
- * Hard bound on interval-tree nesting depth.  The node-tree walks
- * (descendantCount, depth, typeTime, signature emission) recurse on
- * the C stack, so a hostile trace nesting millions of intervals
- * would otherwise overflow it — UB instead of an error.
- * Session::fromTrace rejects deeper traces up front with a
- * TraceError, and the walks themselves throw TraceError past this
- * bound as a second line of defense for hand-built trees.  The flat
- * walks (flat_tree.hh) are iterative and take any depth.
+ * Hard bound on interval-tree nesting depth.  Session::fromTrace
+ * rejects deeper traces up front with a TraceError, so a hostile
+ * trace nesting millions of intervals is an input error.  The one
+ * node-tree walk, IntervalNode::depth (used by viz::sketch),
+ * recurses on the C stack and throws TraceError past this bound as
+ * a second line of defense for hand-built trees.  The analyses run
+ * on the flat layout (flat_tree.hh), whose walks are iterative and
+ * take any depth.
  */
 inline constexpr std::size_t kMaxIntervalDepth = 1000;
-
-/** Fail a node-tree walk that nests past kMaxIntervalDepth: throws
- * trace::TraceError, which beats silently running off the C stack. */
-[[noreturn]] void throwIntervalTooDeep();
 
 /** The six interval types of Table I. */
 enum class IntervalType : std::uint8_t
@@ -94,16 +90,8 @@ struct IntervalNode
         return begin <= b && e <= end;
     }
 
-    /** Number of descendants (excluding this node). */
-    std::size_t descendantCount() const;
-
     /** Depth of the subtree; a leaf has depth 1. */
     std::size_t depth() const;
-
-    /** Total duration of descendants with the given type.
-     * Nested same-type descendants are not double counted: once a
-     * node of the type is found, its subtree is not descended. */
-    DurationNs typeTime(IntervalType type) const;
 };
 
 } // namespace lag::core

@@ -47,7 +47,8 @@ const char *occurrenceClassName(OccurrenceClass cls);
 /** One mined pattern with its statistics. */
 struct Pattern
 {
-    /** Canonical structural signature (GC-free, timing-free). */
+    /** Canonical structural signature (GC-free, timing-free; the
+     * grammar is under "Flat signature emission" in flat_tree.hh). */
     std::string signature;
 
     /** Stable 64-bit key of the signature. */
@@ -129,14 +130,6 @@ struct PatternShard
     std::size_t structurelessEpisodes = 0;
 };
 
-/**
- * Compute the canonical structural signature of an interval tree.
- * GC nodes are skipped entirely; timing is not part of the result.
- * Exposed for tests and for cross-session pattern matching.
- */
-std::string patternSignature(const IntervalNode &root,
-                              const trace::StringTable &strings);
-
 /** Mines patterns from a session. */
 class PatternMiner
 {
@@ -145,26 +138,22 @@ class PatternMiner
      *        (paper default: 100 ms). */
     explicit PatternMiner(DurationNs perceptible_threshold = msToNs(100));
 
-    /** Group the session's episodes into patterns. */
+    /** Group the session's episodes into patterns: flattens the
+     * session, then mine(session, flat). */
     PatternSet mine(const Session &session) const;
 
-    /** Mine only episodes [begin, end) into an ordered partial. */
-    PatternShard mineRange(const Session &session, std::size_t begin,
-                           std::size_t end) const;
-
     /**
-     * Flat-tree mining: byte-identical to the node-tree overloads
-     * (same patterns, order, statistics and signature strings), but
-     * hashing each episode's signature in one pass over its flat
-     * slice — no intermediate string, no recursion — and comparing
-     * repeat episodes against their pattern at the symbol-id level.
-     * A signature string is materialized only for first-seen
-     * patterns.  @p flat must be flattenSession(session).
+     * Group the session's episodes into patterns, hashing each
+     * episode's signature (flatSignatureHash) in one pass over its
+     * flat slice — no intermediate string, no recursion — and
+     * comparing repeat episodes against their pattern at the
+     * symbol-id level.  A signature string is materialized only for
+     * first-seen patterns.  @p flat must be flattenSession(session).
      */
     PatternSet mine(const Session &session,
                     const FlatSession &flat) const;
 
-    /** Flat-tree overload of mineRange; same contract as mine. */
+    /** Mine only episodes [begin, end) into an ordered partial. */
     PatternShard mineRange(const Session &session,
                            const FlatSession &flat, std::size_t begin,
                            std::size_t end) const;

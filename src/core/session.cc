@@ -193,10 +193,11 @@ Session::fromTrace(trace::Trace trace, const SessionBuildOptions &options)
             builders.emplace(thread.id, TreeBuilder(alloc)).first;
         const ThreadCounts &tallies = pre.threads.at(thread.id);
         if (tallies.maxDepth >= kMaxIntervalDepth) {
-            // Reject up front: the node-tree walks recurse on the C
-            // stack and would hit their own depth guard anyway
-            // (kMaxIntervalDepth leaves headroom for the GC leaf
-            // copies inserted below the deepest frame).
+            // Reject up front: node-tree copies and the sketch's
+            // IntervalNode::depth recurse on the C stack, and depth()
+            // would hit its own guard anyway (kMaxIntervalDepth
+            // leaves headroom for the GC leaf copies inserted below
+            // the deepest frame).
             throw TraceError(
                 "trace nests intervals deeper than the supported "
                 "maximum (" +

@@ -1,7 +1,5 @@
 #include "triggers.hh"
 
-#include "flat_simd.hh"
-
 namespace lag::core
 {
 
@@ -9,27 +7,20 @@ namespace
 {
 
 /**
- * Preorder search for the first Listener/Paint/Async interval below
- * @p node. Returns nullptr when the subtree has none.
+ * Index of the first Listener, Paint or Async byte in [from, to) of
+ * the preorder type array; @p to when there is none.
  */
-const IntervalNode *
-firstMarker(const IntervalNode &node, std::size_t nesting = 0)
+std::uint32_t
+findFirstMarker(const std::uint8_t *types, std::uint32_t from,
+                std::uint32_t to)
 {
-    if (nesting >= kMaxIntervalDepth)
-        throwIntervalTooDeep();
-    for (const auto &child : node.children) {
-        if (child.type == IntervalType::Listener ||
-            child.type == IntervalType::Paint ||
-            child.type == IntervalType::Async) {
-            return &child;
-        }
-        // Descend through Native and GC-free structure; GC children
-        // have no descendants relevant here.
-        if (const IntervalNode *found =
-                firstMarker(child, nesting + 1))
-            return found;
+    for (std::uint32_t j = from; j < to; ++j) {
+        const auto t = static_cast<IntervalType>(types[j]);
+        if (t == IntervalType::Listener || t == IntervalType::Paint ||
+            t == IntervalType::Async)
+            return j;
     }
-    return nullptr;
+    return to;
 }
 
 } // namespace
@@ -47,38 +38,11 @@ triggerKindName(TriggerKind kind)
 }
 
 TriggerKind
-episodeTrigger(const IntervalNode &root)
-{
-    const IntervalNode *marker = firstMarker(root);
-    if (marker == nullptr)
-        return TriggerKind::Unspecified;
-    switch (marker->type) {
-      case IntervalType::Listener:
-        return TriggerKind::Input;
-      case IntervalType::Paint:
-        return TriggerKind::Output;
-      case IntervalType::Async: {
-        // Repaint-manager special case (paper §IV.C footnote): an
-        // async interval that contains a paint as its first nested
-        // marker is really an output episode.
-        const IntervalNode *inner = firstMarker(*marker);
-        if (inner != nullptr && inner->type == IntervalType::Paint)
-            return TriggerKind::Output;
-        return TriggerKind::Async;
-      }
-      default:
-        break;
-    }
-    return TriggerKind::Unspecified;
-}
-
-TriggerKind
 flatEpisodeTrigger(const FlatTree &tree, std::uint32_t root)
 {
-    // The preorder slice of the root's descendants is exactly the
-    // order the node-tree recursion visits, and GC nodes can never
-    // match (their type byte is not a marker), so a flat byte scan
-    // is the same search.
+    // The root's descendants in preorder are a contiguous slice, so
+    // the preorder search is a byte scan; GC nodes never match, and
+    // the scan still looks inside them.
     const std::uint8_t *types = tree.type.data();
     const std::uint32_t sliceEnd = tree.subtreeEnd[root];
     const std::uint32_t m = findFirstMarker(types, root + 1, sliceEnd);
@@ -105,24 +69,6 @@ flatEpisodeTrigger(const FlatTree &tree, std::uint32_t root)
         break;
     }
     return TriggerKind::Unspecified;
-}
-
-TriggerCounts
-countTriggers(const Session &session, std::size_t begin,
-              std::size_t end, DurationNs perceptible_threshold)
-{
-    TriggerCounts counts;
-    const auto &episodes = session.episodes();
-    for (std::size_t i = begin; i < end; ++i) {
-        const Episode &episode = episodes[i];
-        const TriggerKind kind =
-            episodeTrigger(session.episodeRoot(episode));
-        const auto idx = static_cast<std::size_t>(kind);
-        ++counts.all[idx];
-        if (episode.duration() >= perceptible_threshold)
-            ++counts.perceptible[idx];
-    }
-    return counts;
 }
 
 TriggerCounts
@@ -170,8 +116,8 @@ finishTriggers(const TriggerCounts &counts)
 TriggerAnalysisResult
 analyzeTriggers(const Session &session, DurationNs perceptible_threshold)
 {
-    return finishTriggers(countTriggers(session, 0,
-                                        session.episodes().size(),
+    return finishTriggers(countTriggers(session, flattenSession(session),
+                                        0, session.episodes().size(),
                                         perceptible_threshold));
 }
 

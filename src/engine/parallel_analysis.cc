@@ -28,7 +28,87 @@ struct ShardPartial
     core::GuiStateCounts states;
 };
 
+/** Run every range-based analysis over episodes [begin, end). */
+ShardPartial
+analyzeRange(const core::Session &session, const core::FlatSession &flat,
+             const core::PatternMiner &miner, std::size_t begin,
+             std::size_t end, DurationNs perceptible_threshold)
+{
+    ShardPartial partial;
+    partial.patterns = miner.mineRange(session, flat, begin, end);
+    partial.triggers = core::countTriggers(session, flat, begin, end,
+                                           perceptible_threshold);
+    partial.location = core::countLocation(session, flat, begin, end,
+                                           perceptible_threshold);
+    partial.concurrency = core::countConcurrency(
+        session, begin, end, perceptible_threshold);
+    partial.states = core::countGuiStates(session, begin, end,
+                                          perceptible_threshold);
+    return partial;
+}
+
+/**
+ * Reduce partials over adjacent ascending ranges covering every
+ * episode, serially in range (= episode) order: completion order of
+ * the shard tasks can never leak into the result.
+ */
+SessionAnalysis
+finishAnalysis(const core::Session &session,
+               const core::PatternMiner &miner,
+               std::vector<ShardPartial> partials,
+               DurationNs perceptible_threshold)
+{
+    std::vector<core::PatternShard> shards;
+    shards.reserve(partials.size());
+    core::TriggerCounts triggers;
+    core::LocationCounts location;
+    core::ConcurrencyCounts concurrency;
+    core::GuiStateCounts states;
+    for (ShardPartial &partial : partials) {
+        shards.push_back(std::move(partial.patterns));
+        triggers.merge(partial.triggers);
+        location.merge(partial.location);
+        concurrency.merge(partial.concurrency);
+        states.merge(partial.states);
+    }
+    const core::PatternSet patterns = miner.merge(std::move(shards));
+
+    SessionAnalysis out;
+    out.overview = core::computeOverview(session, patterns,
+                                         perceptible_threshold);
+    out.triggers = core::finishTriggers(triggers);
+    out.location = core::finishLocation(location);
+    out.concurrency = core::finishConcurrency(concurrency);
+    out.states = core::finishGuiStates(states);
+    out.occurrence = core::occurrenceShares(patterns);
+    out.cdf = core::patternCdf(patterns);
+    out.patternKeys.reserve(patterns.patterns.size());
+    for (const core::Pattern &pattern : patterns.patterns)
+        out.patternKeys.push_back(pattern.key);
+    out.episodeDurations.reserve(session.episodes().size());
+    for (const core::Episode &episode : session.episodes())
+        out.episodeDurations.push_back(episode.duration());
+    out.patternSummary = core::summarizePatterns(patterns);
+    return out;
+}
+
 } // namespace
+
+// Declared in result_cache.hh: the serial analysis is the one-shard
+// case of the sharded one below.
+SessionAnalysis
+analyzeSession(const core::Session &session,
+               DurationNs perceptible_threshold)
+{
+    const core::PatternMiner miner(perceptible_threshold);
+    const core::FlatSession flat = core::flattenSession(session);
+    std::vector<ShardPartial> partials;
+    partials.push_back(analyzeRange(session, flat, miner, 0,
+                                    session.episodes().size(),
+                                    perceptible_threshold));
+    return finishAnalysis(session, miner, std::move(partials),
+                          perceptible_threshold);
+}
 
 std::vector<std::pair<std::size_t, std::size_t>>
 episodeShards(std::size_t episodeCount, std::size_t shardCount)
@@ -105,54 +185,13 @@ analyzeSessionParallel(const core::Session &session,
     std::vector<ShardPartial> partials(ranges.size());
     parallelFor(pool, ranges.size(), [&](std::size_t k) {
         LAG_SPAN_ARG("analysis.shard", "shard", k);
-        const auto [begin, end] = ranges[k];
-        ShardPartial &partial = partials[k];
-        partial.patterns = miner.mineRange(session, flat, begin, end);
-        partial.triggers = core::countTriggers(
-            session, flat, begin, end, perceptible_threshold);
-        partial.location = core::countLocation(
-            session, flat, begin, end, perceptible_threshold);
-        partial.concurrency = core::countConcurrency(
-            session, begin, end, perceptible_threshold);
-        partial.states = core::countGuiStates(
-            session, begin, end, perceptible_threshold);
+        partials[k] = analyzeRange(session, flat, miner, ranges[k].first,
+                                   ranges[k].second, perceptible_threshold);
     });
 
-    // Serial reduce in shard (= episode) order: completion order of
-    // the tasks above can never leak into the result.
     LAG_SPAN_ARG("analysis.merge", "shards", partials.size());
-    std::vector<core::PatternShard> shards;
-    shards.reserve(partials.size());
-    core::TriggerCounts triggers;
-    core::LocationCounts location;
-    core::ConcurrencyCounts concurrency;
-    core::GuiStateCounts states;
-    for (ShardPartial &partial : partials) {
-        shards.push_back(std::move(partial.patterns));
-        triggers.merge(partial.triggers);
-        location.merge(partial.location);
-        concurrency.merge(partial.concurrency);
-        states.merge(partial.states);
-    }
-    const core::PatternSet patterns = miner.merge(std::move(shards));
-
-    SessionAnalysis out;
-    out.overview = core::computeOverview(session, patterns,
-                                         perceptible_threshold);
-    out.triggers = core::finishTriggers(triggers);
-    out.location = core::finishLocation(location);
-    out.concurrency = core::finishConcurrency(concurrency);
-    out.states = core::finishGuiStates(states);
-    out.occurrence = core::occurrenceShares(patterns);
-    out.cdf = core::patternCdf(patterns);
-    out.patternKeys.reserve(patterns.patterns.size());
-    for (const core::Pattern &pattern : patterns.patterns)
-        out.patternKeys.push_back(pattern.key);
-    out.episodeDurations.reserve(session.episodes().size());
-    for (const core::Episode &episode : session.episodes())
-        out.episodeDurations.push_back(episode.duration());
-    out.patternSummary = core::summarizePatterns(patterns);
-    return out;
+    return finishAnalysis(session, miner, std::move(partials),
+                          perceptible_threshold);
 }
 
 } // namespace lag::engine

@@ -50,68 +50,6 @@ cacheMetrics()
 namespace
 {
 
-/** Everything downstream of the PatternSet is layout-agnostic. */
-SessionAnalysis
-finishAnalysis(const core::Session &session,
-               const core::PatternSet &patterns,
-               DurationNs perceptible_threshold,
-               const core::TriggerAnalysisResult &triggers,
-               const core::LocationAnalysisResult &location)
-{
-    SessionAnalysis out;
-    out.overview = core::computeOverview(session, patterns,
-                                         perceptible_threshold);
-    out.triggers = triggers;
-    out.location = location;
-    out.concurrency =
-        core::analyzeConcurrency(session, perceptible_threshold);
-    out.states =
-        core::analyzeGuiStates(session, perceptible_threshold);
-    out.occurrence = core::occurrenceShares(patterns);
-    out.cdf = core::patternCdf(patterns);
-    out.patternKeys.reserve(patterns.patterns.size());
-    for (const core::Pattern &pattern : patterns.patterns)
-        out.patternKeys.push_back(pattern.key);
-    out.episodeDurations.reserve(session.episodes().size());
-    for (const core::Episode &episode : session.episodes())
-        out.episodeDurations.push_back(episode.duration());
-    out.patternSummary = core::summarizePatterns(patterns);
-    return out;
-}
-
-} // namespace
-
-SessionAnalysis
-analyzeSession(const core::Session &session,
-               DurationNs perceptible_threshold)
-{
-    const core::PatternMiner miner(perceptible_threshold);
-    const core::FlatSession flat = core::flattenSession(session);
-    const core::PatternSet patterns = miner.mine(session, flat);
-    const std::size_t n = session.episodes().size();
-    return finishAnalysis(
-        session, patterns, perceptible_threshold,
-        core::finishTriggers(core::countTriggers(
-            session, flat, 0, n, perceptible_threshold)),
-        core::finishLocation(core::countLocation(
-            session, flat, 0, n, perceptible_threshold)));
-}
-
-SessionAnalysis
-analyzeSessionNode(const core::Session &session,
-                   DurationNs perceptible_threshold)
-{
-    const core::PatternMiner miner(perceptible_threshold);
-    const core::PatternSet patterns = miner.mine(session);
-    return finishAnalysis(
-        session, patterns, perceptible_threshold,
-        core::analyzeTriggers(session, perceptible_threshold),
-        core::analyzeLocation(session, perceptible_threshold));
-}
-
-namespace
-{
-
 constexpr char kMagic[8] = {'L', 'A', 'G', 'A', 'R', 'E', 'S', '\0'};
 
 void

@@ -1,9 +1,14 @@
 /**
  * @file
  * Tests for the flat (structure-of-arrays) interval trees: preorder
- * layout invariants, walk/signature equivalence against the node
- * tree, depth-guard behaviour on hostile nesting, structural
- * equality, and the SIMD/scalar marker-scan contract.
+ * layout invariants, walk/signature/mining results on the shared
+ * fixtures, iterative walks on hostile nesting, the general scans
+ * for GC nodes with children, and structural equality.
+ *
+ * The expected walk, signature and mining values below are what the
+ * node-tree reference walks returned on the same fixtures before
+ * the analyses moved to the flat layout alone (tests/golden/ pins
+ * the same inputs as digests).
  */
 
 #include <gtest/gtest.h>
@@ -12,12 +17,11 @@
 #include <string>
 #include <vector>
 
-#include "core/flat_simd.hh"
+#include "analysis_fixtures.hh"
 #include "core/flat_tree.hh"
 #include "core/location.hh"
 #include "core/pattern.hh"
 #include "core/triggers.hh"
-#include "trace_builder.hh"
 #include "util/hash.hh"
 
 namespace lag::core
@@ -25,40 +29,21 @@ namespace lag::core
 namespace
 {
 
-using trace::IntervalKind;
+using test::richSession;
 
-/** A session exercising every interval type, nesting and GC. */
-Session
-richSession()
-{
-    test::TraceBuilder builder;
-    builder.dispatchBegin(0)
-        .intervalBegin(1000, IntervalKind::Listener, "app.A", "act")
-        .intervalBegin(2000, IntervalKind::Native, "app.N", "jni")
-        .gc(3000, 4000)
-        .intervalEnd(msToNs(6), IntervalKind::Native)
-        .intervalEnd(msToNs(8), IntervalKind::Listener)
-        .intervalBegin(msToNs(9), IntervalKind::Paint, "app.P", "p")
-        .intervalEnd(msToNs(12), IntervalKind::Paint)
-        .dispatchEnd(msToNs(14));
-    builder.dispatchBegin(msToNs(20))
-        .intervalBegin(msToNs(21), IntervalKind::Async, "app.Q", "r")
-        .intervalBegin(msToNs(22), IntervalKind::Paint, "app.P", "p")
-        .intervalEnd(msToNs(23), IntervalKind::Paint)
-        .intervalEnd(msToNs(24), IntervalKind::Async)
-        .dispatchEnd(msToNs(25));
-    builder.dispatchBegin(msToNs(30)).dispatchEnd(msToNs(31));
-    return builder.buildSession(secToNs(1));
-}
-
-/** Preorder walk of a node tree collecting (type, begin, end). */
-void
+/** Preorder walk of a node tree collecting each node and its
+ * subtree size (the node plus all descendants). */
+std::size_t
 preorder(const IntervalNode &node,
-         std::vector<const IntervalNode *> &out)
+         std::vector<std::pair<const IntervalNode *, std::size_t>> &out)
 {
-    out.push_back(&node);
+    const std::size_t at = out.size();
+    out.emplace_back(&node, 0);
+    std::size_t size = 1;
     for (const auto &child : node.children)
-        preorder(child, out);
+        size += preorder(child, out);
+    out[at].second = size;
+    return size;
 }
 
 TEST(FlatTreeTest, PreorderLayoutMatchesNodeTree)
@@ -69,20 +54,21 @@ TEST(FlatTreeTest, PreorderLayoutMatchesNodeTree)
 
     for (std::size_t t = 0; t < flat.trees().size(); ++t) {
         const FlatTree &tree = flat.trees()[t];
-        std::vector<const IntervalNode *> nodes;
+        std::vector<std::pair<const IntervalNode *, std::size_t>> nodes;
         for (const IntervalNode &root :
              session.threads()[t].roots)
             preorder(root, nodes);
         ASSERT_EQ(tree.size(), nodes.size());
         for (std::size_t i = 0; i < nodes.size(); ++i) {
-            EXPECT_EQ(tree.typeOf(i), nodes[i]->type) << i;
-            EXPECT_EQ(tree.begin[i], nodes[i]->begin) << i;
-            EXPECT_EQ(tree.end[i], nodes[i]->end) << i;
-            EXPECT_EQ(tree.classSym[i], nodes[i]->classSym) << i;
-            EXPECT_EQ(tree.methodSym[i], nodes[i]->methodSym) << i;
+            const IntervalNode &node = *nodes[i].first;
+            EXPECT_EQ(tree.typeOf(i), node.type) << i;
+            EXPECT_EQ(tree.begin[i], node.begin) << i;
+            EXPECT_EQ(tree.end[i], node.end) << i;
+            EXPECT_EQ(tree.classSym[i], node.classSym) << i;
+            EXPECT_EQ(tree.methodSym[i], node.methodSym) << i;
             // Subtree slice = this node plus all descendants.
             EXPECT_EQ(tree.subtreeSize(static_cast<std::uint32_t>(i)),
-                      nodes[i]->descendantCount() + 1)
+                      nodes[i].second)
                 << i;
         }
     }
@@ -106,127 +92,127 @@ TEST(FlatTreeTest, EpisodeRefsPointAtEpisodeRoots)
 
 TEST(FlatTreeTest, WalksMatchNodeWalks)
 {
+    struct Expected
+    {
+        std::size_t descendants;
+        std::size_t depth;
+        DurationNs listener, paint, native, async, gc;
+        DurationNs nativeExcludingGc;
+        TriggerKind trigger;
+    };
+    // Per richSession episode, as the node-tree walks computed them.
+    const Expected expected[] = {
+        {4, 4, 7999000, 3000000, 5998000, 0, 1000, 5997000,
+         TriggerKind::Input},
+        {2, 3, 0, 1000000, 0, 3000000, 0, 0, TriggerKind::Output},
+        {0, 1, 0, 0, 0, 0, 0, 0, TriggerKind::Unspecified},
+    };
+
     const Session session = richSession();
     const FlatSession flat = flattenSession(session);
+    ASSERT_EQ(session.episodes().size(), std::size(expected));
     for (std::size_t i = 0; i < session.episodes().size(); ++i) {
-        const IntervalNode &root =
-            session.episodeRoot(session.episodes()[i]);
+        SCOPED_TRACE(i);
+        const Expected &want = expected[i];
         const FlatTree &tree = flat.trees()[flat.episodeTree(i)];
         const std::uint32_t node = flat.episodeNode(i);
-        EXPECT_EQ(flatDescendantCount(tree, node),
-                  root.descendantCount());
-        EXPECT_EQ(flatDepth(tree, node), root.depth());
-        for (const IntervalType type :
-             {IntervalType::Listener, IntervalType::Paint,
-              IntervalType::Native, IntervalType::Async,
-              IntervalType::Gc}) {
-            EXPECT_EQ(flatTypeTime(tree, node, type),
-                      root.typeTime(type))
-                << "type " << static_cast<int>(type);
-        }
+        EXPECT_EQ(flatDescendantCount(tree, node), want.descendants);
+        EXPECT_EQ(flatDepth(tree, node), want.depth);
+        EXPECT_EQ(flatTypeTime(tree, node, IntervalType::Listener),
+                  want.listener);
+        EXPECT_EQ(flatTypeTime(tree, node, IntervalType::Paint),
+                  want.paint);
+        EXPECT_EQ(flatTypeTime(tree, node, IntervalType::Native),
+                  want.native);
+        EXPECT_EQ(flatTypeTime(tree, node, IntervalType::Async),
+                  want.async);
+        EXPECT_EQ(flatTypeTime(tree, node, IntervalType::Gc), want.gc);
         EXPECT_EQ(flatNativeTimeExcludingGc(tree, node),
-                  nativeTimeExcludingGc(root));
-        EXPECT_EQ(flatEpisodeTrigger(tree, node),
-                  episodeTrigger(root));
+                  want.nativeExcludingGc);
+        EXPECT_EQ(flatEpisodeTrigger(tree, node), want.trigger);
     }
 }
 
 TEST(FlatTreeTest, SignaturesMatchNodeSignatures)
 {
+    // As the node-tree emission produced them.
+    const char *expected[] = {
+        "D(L[app.A.act](N[app.N.jni])P[app.P.p])",
+        "D(A[app.Q.r](P[app.P.p]))",
+        "D",
+    };
     const Session session = richSession();
     const FlatSession flat = flattenSession(session);
     FlatSigStack scratch;
+    ASSERT_EQ(session.episodes().size(), std::size(expected));
     for (std::size_t i = 0; i < session.episodes().size(); ++i) {
-        const IntervalNode &root =
-            session.episodeRoot(session.episodes()[i]);
         const FlatTree &tree = flat.trees()[flat.episodeTree(i)];
         const std::uint32_t node = flat.episodeNode(i);
-        const std::string nodeSig =
-            patternSignature(root, session.strings());
         EXPECT_EQ(flatSignatureString(tree, node, session.strings()),
-                  nodeSig);
+                  expected[i]);
         EXPECT_EQ(flatSignatureHash(tree, node, session.strings(),
                                     scratch),
-                  fnv1a(nodeSig));
+                  fnv1a(expected[i]));
     }
 }
 
 TEST(FlatTreeTest, FlatMiningIsByteIdenticalToNodeMining)
 {
-    test::TraceBuilder builder;
-    // Three episodes of one pattern, two of another, one empty.
-    for (int k = 0; k < 3; ++k) {
-        const TimeNs base = msToNs(100 * k);
-        builder.listenerEpisode(base, base + msToNs(50), "app.A");
-    }
-    for (int k = 0; k < 2; ++k) {
-        const TimeNs base = msToNs(400 + 200 * k);
-        builder.listenerEpisode(base, base + msToNs(150), "app.B");
-    }
-    builder.dispatchBegin(msToNs(800)).dispatchEnd(msToNs(801));
-    const Session session = builder.buildSession(secToNs(1));
+    const Session session = test::miningSession();
     const FlatSession flat = flattenSession(session);
-
     const PatternMiner miner(msToNs(100));
-    const PatternSet nodeSet = miner.mine(session);
-    const PatternSet flatSet = miner.mine(session, flat);
+    const PatternSet set = miner.mine(session, flat);
 
-    EXPECT_EQ(flatSet.coveredEpisodes, nodeSet.coveredEpisodes);
-    EXPECT_EQ(flatSet.structurelessEpisodes,
-              nodeSet.structurelessEpisodes);
-    ASSERT_EQ(flatSet.patterns.size(), nodeSet.patterns.size());
-    for (std::size_t p = 0; p < nodeSet.patterns.size(); ++p) {
-        const Pattern &a = nodeSet.patterns[p];
-        const Pattern &b = flatSet.patterns[p];
-        EXPECT_EQ(b.signature, a.signature);
-        EXPECT_EQ(b.key, a.key);
-        EXPECT_EQ(b.episodes, a.episodes);
-        EXPECT_EQ(b.minLag, a.minLag);
-        EXPECT_EQ(b.maxLag, a.maxLag);
-        EXPECT_EQ(b.totalLag, a.totalLag);
-        EXPECT_EQ(b.perceptibleCount, a.perceptibleCount);
-        EXPECT_EQ(b.firstPerceptible, a.firstPerceptible);
-        EXPECT_EQ(b.descendants, a.descendants);
-        EXPECT_EQ(b.depth, a.depth);
-        EXPECT_EQ(b.occurrence, a.occurrence);
-    }
-}
+    // As the node-tree miner grouped them.
+    EXPECT_EQ(set.coveredEpisodes, 5u);
+    EXPECT_EQ(set.structurelessEpisodes, 1u);
+    ASSERT_EQ(set.patterns.size(), 2u);
+    const Pattern &a = set.patterns[0];
+    EXPECT_EQ(a.signature, "D(L[app.A.actionPerformed])");
+    EXPECT_EQ(a.key, fnv1a(a.signature));
+    EXPECT_EQ(a.episodes, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(a.minLag, msToNs(50));
+    EXPECT_EQ(a.maxLag, msToNs(50));
+    EXPECT_EQ(a.totalLag, msToNs(150));
+    EXPECT_EQ(a.perceptibleCount, 0u);
+    EXPECT_FALSE(a.firstPerceptible);
+    EXPECT_EQ(a.descendants, 1u);
+    EXPECT_EQ(a.depth, 2u);
+    EXPECT_EQ(a.occurrence, OccurrenceClass::Never);
+    const Pattern &b = set.patterns[1];
+    EXPECT_EQ(b.signature, "D(L[app.B.actionPerformed])");
+    EXPECT_EQ(b.episodes, (std::vector<std::size_t>{3, 4}));
+    EXPECT_EQ(b.totalLag, msToNs(300));
+    EXPECT_EQ(b.perceptibleCount, 2u);
+    EXPECT_TRUE(b.firstPerceptible);
+    EXPECT_EQ(b.occurrence, OccurrenceClass::Always);
 
-/** Hand-built (heap) nesting chain of @p depth Native nodes (Native
- * is no trigger marker, so every walk must reach the bottom). */
-IntervalVec
-deepForest(std::size_t depth)
-{
-    IntervalNode current;
-    current.type = IntervalType::Native;
-    current.begin = 0;
-    current.end = 10;
-    for (std::size_t d = 1; d < depth; ++d) {
-        IntervalNode parent;
-        parent.type = IntervalType::Native;
-        parent.begin = 0;
-        parent.end = 10;
-        parent.children.push_back(std::move(current));
-        current = std::move(parent);
+    // The session-only convenience and any split of the episode
+    // axis mine the same set.
+    const PatternSet oneShot = miner.mine(session);
+    std::vector<PatternShard> shards;
+    shards.push_back(miner.mineRange(session, flat, 0, 2));
+    shards.push_back(miner.mineRange(session, flat, 2, 6));
+    const PatternSet merged = miner.merge(std::move(shards));
+    for (const PatternSet *other : {&oneShot, &merged}) {
+        ASSERT_EQ(other->patterns.size(), set.patterns.size());
+        for (std::size_t p = 0; p < set.patterns.size(); ++p) {
+            EXPECT_EQ(other->patterns[p].signature,
+                      set.patterns[p].signature);
+            EXPECT_EQ(other->patterns[p].episodes,
+                      set.patterns[p].episodes);
+        }
     }
-    IntervalVec roots;
-    roots.push_back(std::move(current));
-    return roots;
 }
 
 TEST(FlatTreeTest, DeepTreesAreIterativeOnFlatAndGuardedOnNodes)
 {
     const std::size_t depth = 2 * kMaxIntervalDepth;
-    const IntervalVec roots = deepForest(depth);
-    const IntervalNode &root = roots.front();
+    const IntervalVec roots = test::deepForest(depth);
 
-    // Node-tree walks must refuse (TraceError), not smash the stack.
-    EXPECT_THROW(root.descendantCount(), trace::TraceError);
-    EXPECT_THROW(root.depth(), trace::TraceError);
-    EXPECT_THROW(root.typeTime(IntervalType::Gc), trace::TraceError);
-    trace::StringTable strings;
-    EXPECT_THROW(patternSignature(root, strings), trace::TraceError);
-    EXPECT_THROW(episodeTrigger(root), trace::TraceError);
+    // The node tree's one recursive walk must refuse (TraceError),
+    // not smash the stack.
+    EXPECT_THROW(roots.front().depth(), trace::TraceError);
 
     // Flat walks are iterative by construction: any depth works.
     const FlatTree tree = flattenForest(roots);
@@ -234,12 +220,51 @@ TEST(FlatTreeTest, DeepTreesAreIterativeOnFlatAndGuardedOnNodes)
     EXPECT_EQ(flatDescendantCount(tree, 0), depth - 1);
     EXPECT_EQ(flatDepth(tree, 0), depth);
     EXPECT_EQ(flatTypeTime(tree, 0, IntervalType::Gc), 0);
+    EXPECT_EQ(flatEpisodeTrigger(tree, 0), TriggerKind::Unspecified);
+    trace::StringTable strings;
     const std::string sig = flatSignatureString(tree, 0, strings);
     EXPECT_EQ(sig.size(), depth + 2 * (depth - 1));
 }
 
+TEST(FlatTreeTest, GcParentsTakeTheGeneralScans)
+{
+    trace::StringTable strings;
+    const FlatTree tree = flattenForest(test::gcParentForest(strings));
+    ASSERT_FALSE(tree.gcLeavesOnly);
+    ASSERT_EQ(tree.roots.size(), 3u);
+    const std::uint32_t first = tree.roots[0];
+    const std::uint32_t third = tree.roots[2];
+
+    // GC subtrees vanish from the structure: the first root keeps
+    // its two natives and the async, two levels deep below it.
+    EXPECT_EQ(flatNonGcDescendants(tree, first), 3u);
+    EXPECT_EQ(flatNonGcDepth(tree, first), 3u);
+    EXPECT_EQ(flatSignatureString(tree, first, strings),
+              "D(N[app.Main.jni](N[app.Main.jni])A[app.Main.act])");
+    EXPECT_EQ(flatNonGcDescendants(tree, third), 0u);
+    EXPECT_EQ(flatNonGcDepth(tree, third), 1u);
+    EXPECT_EQ(flatSignatureString(tree, third, strings), "D");
+
+    // GC time counts each outermost GC once, nested or not.
+    EXPECT_EQ(flatTypeTime(tree, first, IntervalType::Gc), 20 + 3 + 20 + 3);
+    // Native time: the outer native (50) less its GCs (20 + 3); the
+    // native inside the root-level GC is not counted.
+    EXPECT_EQ(flatNativeTimeExcludingGc(tree, first), 50 - 20 - 3);
+
+    // Markers inside GC subtrees still decide the trigger.
+    EXPECT_EQ(flatEpisodeTrigger(tree, first), TriggerKind::Input);
+    EXPECT_EQ(flatEpisodeTrigger(tree, tree.roots[1]),
+              TriggerKind::Output);
+    EXPECT_EQ(flatEpisodeTrigger(tree, third), TriggerKind::Input);
+
+    // GC-blind equality on the general path.
+    EXPECT_TRUE(flatStructureEquals(tree, first, tree, first));
+    EXPECT_FALSE(flatStructureEquals(tree, first, tree, third));
+}
+
 TEST(FlatTreeTest, StructureEqualsIsGcBlindAndSymbolSensitive)
 {
+    using trace::IntervalKind;
     // Symbol ids only compare within one session, so all three
     // episode shapes live in the same trace: plain, plain + GC,
     // different class.
@@ -274,44 +299,6 @@ TEST(FlatTreeTest, StructureEqualsIsGcBlindAndSymbolSensitive)
     // Reflexive.
     EXPECT_TRUE(flatStructureEquals(treeOf(2), flat.episodeNode(2),
                                     treeOf(2), flat.episodeNode(2)));
-}
-
-TEST(FlatSimdTest, ScalarFindsFirstMarker)
-{
-    const std::uint8_t types[] = {0, 0, 3, 5, 1, 2, 4, 0};
-    EXPECT_EQ(findFirstMarkerScalar(types, 0, 8), 4u);
-    EXPECT_EQ(findFirstMarkerScalar(types, 5, 8), 5u);
-    EXPECT_EQ(findFirstMarkerScalar(types, 0, 4), 4u); // none: to
-    EXPECT_EQ(findFirstMarkerScalar(types, 7, 8), 8u);
-    EXPECT_EQ(findFirstMarkerScalar(types, 3, 3), 3u); // empty
-}
-
-TEST(FlatSimdTest, SimdMatchesScalarOnRandomArrays)
-{
-    // Deterministic LCG; no OS entropy in tests either.
-    std::uint32_t state = 0x9e3779b9u;
-    const auto next = [&state] {
-        state = state * 1664525u + 1013904223u;
-        return state >> 24;
-    };
-    for (int round = 0; round < 200; ++round) {
-        std::vector<std::uint8_t> types(
-            static_cast<std::size_t>(next() % 120));
-        for (auto &t : types)
-            t = static_cast<std::uint8_t>(next() % 6);
-        const auto n = static_cast<std::uint32_t>(types.size());
-        for (std::uint32_t from = 0; from <= n;
-             from += 1 + from / 3) {
-            const std::uint32_t expected =
-                findFirstMarkerScalar(types.data(), from, n);
-            EXPECT_EQ(findFirstMarker(types.data(), from, n),
-                      expected);
-#if defined(LAG_HAS_SSE2) || defined(LAG_HAS_NEON)
-            EXPECT_EQ(findFirstMarkerSimd(types.data(), from, n),
-                      expected);
-#endif
-        }
-    }
 }
 
 TEST(FlatTreeTest, GcPrefixSumsAnswerSubtreeQueries)

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "core/flat_tree.hh"
 #include "core/session.hh"
 #include "trace_builder.hh"
 
@@ -270,9 +271,12 @@ TEST(IntervalNodeTest, TypeTimeSkipsNestedSameType)
     inner_native.end = 30;
     outer_native.children.push_back(inner_native);
     root.children.push_back(outer_native);
+    IntervalVec roots;
+    roots.push_back(root);
+    const FlatTree tree = flattenForest(roots);
     // Inner native must not be double counted.
-    EXPECT_EQ(root.typeTime(IntervalType::Native), 40);
-    EXPECT_EQ(root.typeTime(IntervalType::Gc), 0);
+    EXPECT_EQ(flatTypeTime(tree, 0, IntervalType::Native), 40);
+    EXPECT_EQ(flatTypeTime(tree, 0, IntervalType::Gc), 0);
 }
 
 TEST(IntervalNodeTest, DescendantsAndDepth)
@@ -287,10 +291,12 @@ TEST(IntervalNodeTest, DescendantsAndDepth)
         .intervalEnd(6, IntervalKind::Listener)
         .dispatchEnd(7);
     const Session session = builder.buildSession(secToNs(1));
-    const IntervalNode &root =
-        session.episodeRoot(session.episodes()[0]);
-    EXPECT_EQ(root.descendantCount(), 3u);
-    EXPECT_EQ(root.depth(), 3u);
+    const FlatSession flat = flattenSession(session);
+    const FlatTree &tree = flat.trees()[flat.episodeTree(0)];
+    EXPECT_EQ(flatDescendantCount(tree, flat.episodeNode(0)), 3u);
+    EXPECT_EQ(flatDepth(tree, flat.episodeNode(0)), 3u);
+    // The node tree keeps depth() for the sketch renderer.
+    EXPECT_EQ(session.episodeRoot(session.episodes()[0]).depth(), 3u);
 }
 
 } // namespace
