@@ -178,7 +178,10 @@ Study::simulateMissing(
     driver.addStage("encode", [&](std::size_t a, std::size_t i) {
         trace::writeTraceFileAtomic(pending[a][i],
                                     tracePath(a, missing[a][i]));
-        pending[a][i] = trace::Trace{};
+        // Free the encoded trace now by moving it into a local
+        // (assigning a Trace{} temporary trips GCC 12's Release
+        // -Wmaybe-uninitialized on the temporary's appName).
+        const trace::Trace encoded = std::move(pending[a][i]);
     });
     driver.run(pool);
 }

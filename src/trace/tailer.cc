@@ -58,6 +58,7 @@ TraceTailer::reset()
     consumed_ = 0;
     totalRead_ = 0;
     buffer_.clear();
+    bufferPos_ = 0;
     fingerprint_.clear();
     hasher_ = Fnv1aHasher();
     declaredChecksum_ = 0;
@@ -167,9 +168,12 @@ TraceTailer::poll()
 bool
 TraceTailer::drive()
 {
+    // Records decode in place from bufferPos_ and the consumed
+    // prefix is dropped once per call, so a poll costs O(bytes
+    // pending) rather than one O(buffer) erase per record.
     bool any = false;
     while (stage_ != Stage::Complete) {
-        ByteReader r{std::string_view(buffer_)};
+        ByteReader r{std::string_view(buffer_).substr(bufferPos_)};
         const Stage before = stage_;
         try {
             if (!step(r))
@@ -181,11 +185,13 @@ TraceTailer::drive()
         }
         const std::size_t used = r.position();
         if (before != Stage::FileHeader && used > 0)
-            hasher_.addBytes(buffer_.data(), used);
-        buffer_.erase(0, used);
+            hasher_.addBytes(buffer_.data() + bufferPos_, used);
+        bufferPos_ += used;
         consumed_ += used;
         any = true;
     }
+    buffer_.erase(0, bufferPos_);
+    bufferPos_ = 0;
     return any;
 }
 
@@ -337,11 +343,11 @@ TraceTailer::finalize()
         throw TraceError(
             "sample totals disagree with the section header");
     }
-    if (!buffer_.empty()) {
+    if (buffer_.size() > bufferPos_) {
         // All declared records are decoded but bytes follow; a
         // valid writer never produces this, so it cannot heal.
         throw TraceError("trailing garbage: " +
-                         std::to_string(buffer_.size()) +
+                         std::to_string(buffer_.size() - bufferPos_) +
                          " bytes after trace payload");
     }
     if (hasher_.digest() != declaredChecksum_)

@@ -162,6 +162,7 @@ class TraceTailer
     std::uint64_t totalRead_ = 0; ///< file bytes read (>= consumed_)
     std::uint64_t knownSize_ = 0;
     std::string buffer_; ///< read-but-unconsumed carry (partial tail)
+    std::size_t bufferPos_ = 0; ///< decoded prefix of buffer_ in drive()
     std::string fingerprint_;
 
     Fnv1aHasher hasher_; ///< FNV-1a over consumed payload bytes

@@ -251,8 +251,12 @@ TEST_P(RandomTraceRoundTrip, Stable)
             builder.intervalBegin(
                 t,
                 static_cast<IntervalKind>(rng.uniformInt(0, 3)),
-                "c" + std::to_string(rng.uniformInt(0, 5)),
-                "m" + std::to_string(rng.uniformInt(0, 5)));
+                // append, not "lit" + to_string: GCC 12 flags the
+                // latter with a false -Wrestrict in Release builds.
+                std::string("c").append(
+                    std::to_string(rng.uniformInt(0, 5))),
+                std::string("m").append(
+                    std::to_string(rng.uniformInt(0, 5))));
         }
         TimeNs end = t + rng.uniformInt(usToNs(100), msToNs(20));
         for (int d = depth - 1; d >= 0; --d) {
